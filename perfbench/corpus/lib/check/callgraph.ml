@@ -1,0 +1,686 @@
+(* Heuristic project-wide call graph over toplevel definitions. Shares the
+   Srclint lexer; tuned to this repo's ocamlformat layout (column-1
+   toplevel items, column-3 items inside a column-1 [module _ = struct]).
+   See callgraph.mli and DESIGN.md §10 for the accepted blind spots. *)
+
+module S = Srclint
+
+type source = { sc_file : string; sc_library : string; sc_entry : bool; sc_text : string }
+
+type def = {
+  d_id : int;
+  d_library : string;
+  d_module : string;
+  d_name : string;
+  d_file : string;
+  d_line : int;
+  d_entry : bool;
+  d_public : bool;
+  d_body : S.tok array;
+}
+
+type vdecl = {
+  v_file : string;
+  v_library : string;
+  v_module : string;
+  v_name : string;
+  v_line : int;
+  v_raise_doc : bool;
+}
+
+type file = {
+  f_path : string;
+  f_library : string;
+  f_entry : bool;
+  f_toks : S.tok array;
+}
+
+type t = {
+  defs : def array;
+  callees : int list array;
+  sites : (int * int) list array;
+  vals : vdecl list;
+  files : file list;
+}
+
+(* ------------------------------------------------------------------ *)
+(* Small string helpers                                               *)
+(* ------------------------------------------------------------------ *)
+
+let is_upper s = s <> "" && s.[0] >= 'A' && s.[0] <= 'Z'
+let is_lower s = s <> "" && ((s.[0] >= 'a' && s.[0] <= 'z') || s.[0] = '_')
+
+let split_dots s = String.split_on_char '.' s
+
+let rec last_two = function
+  | [] -> ("", "")
+  | [ x ] -> ("", x)
+  | [ x; y ] -> (x, y)
+  | _ :: tl -> last_two tl
+
+let contains_sub text sub =
+  let n = String.length text and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub text i m = sub || at (i + 1)) in
+  m > 0 && at 0
+
+let module_of_file file =
+  String.capitalize_ascii (Filename.remove_extension (Filename.basename file))
+
+(* ------------------------------------------------------------------ *)
+(* Definition extraction from one .ml file                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Column-1 tokens that end the previous definition's body; a table because
+   the membership test runs once per token of every scanned file. *)
+let boundary_kw =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun kw -> Hashtbl.replace tbl kw ())
+    [ "let"; "and"; "type"; "module"; "open"; "exception"; "include"; "end"; "val"; "class";
+      "external" ];
+  tbl
+
+type mark = { m_idx : int; m_def : (string * string * int) option }
+(* m_def = Some (module_path, name, line) for a definition start. *)
+
+(* Name of the definition whose [let]/[and] keyword is at token [i]:
+   ["()"] for unit bindings, the operator symbol for [let ( + ) ...],
+   ["_"] for wildcard or destructuring patterns. *)
+let is_attr t = String.length t >= 2 && t.[0] = '[' && t.[1] = '@'
+
+let def_name (toks : S.tok array) i =
+  let n = Array.length toks in
+  (* Skip, in any order: attributes ([let[@inline] f]), extension markers
+     ([let%test ...] lexes as "%" "test"), and [rec]. *)
+  let rec skip j =
+    if j >= n then j
+    else
+      let t = toks.(j).S.t in
+      if is_attr t then skip (j + 1)
+      else if t = "%" then skip (j + 2)
+      else if t = "rec" then skip (j + 1)
+      else j
+  in
+  let j = skip (i + 1) in
+  if j >= n then "_"
+  else
+    let tj = toks.(j).S.t in
+    if tj = "(" then
+      if j + 1 < n && toks.(j + 1).S.t = ")" then "()"
+      else if j + 1 < n then toks.(j + 1).S.t
+      else "_"
+    else if is_lower tj then tj
+    else "_"
+
+let defs_of_ml ~library ~entry ~file text =
+  let cleaned = S.clean text in
+  let toks = S.tokenize cleaned.S.text in
+  let n = Array.length toks in
+  let file_module = module_of_file file in
+  let marks = ref [] in
+  let aliases = Hashtbl.create 7 in
+  let submod = ref None in
+  (* Whether the previous column-1 / column-3 item was a [let]/[and]
+     definition, so that a following [and] continues the chain (as opposed
+     to [type t = ... and u = ...]). *)
+  let chain1 = ref false and chain3 = ref false in
+  let add_boundary i = marks := { m_idx = i; m_def = None } :: !marks in
+  let add_def i ~module_path =
+    marks := { m_idx = i; m_def = Some (module_path, def_name toks i, toks.(i).S.tline) } :: !marks
+  in
+  let tok_at j = if j < n then toks.(j).S.t else "" in
+  for i = 0 to n - 1 do
+    let { S.t; tcol; _ } = toks.(i) in
+    if tcol = 1 then begin
+      (match t with
+      | "let" ->
+          submod := None;
+          add_def i ~module_path:file_module
+      | "and" when !chain1 -> add_def i ~module_path:file_module
+      | "module" ->
+          if tok_at (i + 1) <> "type" then begin
+            let name = tok_at (i + 1) in
+            if is_upper name && tok_at (i + 2) = "=" then begin
+              let rhs = tok_at (i + 3) in
+              if rhs = "struct" then submod := Some name
+              else if is_upper rhs then Hashtbl.replace aliases name rhs
+            end
+            else if is_upper name && tok_at (i + 2) = ":" then begin
+              (* [module X : SIG = struct]: look a few tokens ahead. *)
+              let rec scan j k =
+                if k = 0 || j >= n then ()
+                else if toks.(j).S.t = "struct" then submod := Some name
+                else scan (j + 1) (k - 1)
+              in
+              scan (i + 3) 8
+            end
+          end;
+          add_boundary i
+      | "end" ->
+          submod := None;
+          add_boundary i
+      | kw when Hashtbl.mem boundary_kw kw -> add_boundary i
+      | _ -> ());
+      if Hashtbl.mem boundary_kw t then chain1 := t = "let" || (t = "and" && !chain1)
+    end
+    else if tcol = 3 then begin
+      (match (!submod, t) with
+      | Some m, "let" -> add_def i ~module_path:(file_module ^ "." ^ m)
+      | Some m, "and" when !chain3 -> add_def i ~module_path:(file_module ^ "." ^ m)
+      | Some _, kw when Hashtbl.mem boundary_kw kw -> add_boundary i
+      | _ -> ());
+      if !submod <> None && Hashtbl.mem boundary_kw t then
+        chain3 := t = "let" || (t = "and" && !chain3)
+    end
+  done;
+  let marks = Array.of_list (List.rev !marks) in
+  let defs = ref [] in
+  Array.iteri
+    (fun k { m_idx; m_def } ->
+      match m_def with
+      | None -> ()
+      | Some (module_path, name, line) ->
+          let stop = if k + 1 < Array.length marks then marks.(k + 1).m_idx else n in
+          let body = Array.sub toks m_idx (stop - m_idx) in
+          defs :=
+            {
+              d_id = 0 (* assigned later *);
+              d_library = library;
+              d_module = module_path;
+              d_name = name;
+              d_file = file;
+              d_line = line;
+              d_entry = entry;
+              d_public = false (* assigned later *);
+              d_body = body;
+            }
+            :: !defs)
+    marks;
+  (List.rev !defs, aliases, toks)
+
+(* ------------------------------------------------------------------ *)
+(* val declarations (and @raise docs) from one .mli file              *)
+(* ------------------------------------------------------------------ *)
+
+let vals_of_mli ~library ~file text =
+  let cleaned = S.clean text in
+  let toks = S.tokenize cleaned.S.text in
+  let n = Array.length toks in
+  let file_module = module_of_file file in
+  (* Doc comments are blanked by [clean], so scan the raw text for the
+     lines that mention @raise. *)
+  let raise_lines = ref [] in
+  List.iteri
+    (fun i line -> if contains_sub line "@raise" then raise_lines := (i + 1) :: !raise_lines)
+    (String.split_on_char '\n' text);
+  let raise_lines = !raise_lines in
+  let decls = ref [] in
+  for i = 0 to n - 1 do
+    let { S.t; tcol; tline } = toks.(i) in
+    if tcol = 1 && (t = "val" || t = "external") && i + 1 < n then begin
+      let name =
+        let t1 = toks.(i + 1).S.t in
+        if t1 = "(" && i + 2 < n then toks.(i + 2).S.t else t1
+      in
+      if is_lower name then decls := (name, tline) :: !decls
+    end
+  done;
+  let decls = List.rev !decls in
+  let rec attach = function
+    | [] -> []
+    | (name, line) :: rest ->
+        let next_line = match rest with (_, l) :: _ -> l | [] -> max_int in
+        (* After-style doc convention: the comment sits between this val
+           and the next declaration. *)
+        let documented = List.exists (fun l -> l >= line && l < next_line) raise_lines in
+        {
+          v_file = file;
+          v_library = library;
+          v_module = file_module;
+          v_name = name;
+          v_line = line;
+          v_raise_doc = documented;
+        }
+        :: attach rest
+  in
+  attach decls
+
+(* ------------------------------------------------------------------ *)
+(* Spans, formal parameters, closure arguments                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Tokens that end an application span at their bracket level; the same
+   set Cost uses for its pending-iteration spans, so the two layers agree
+   on where an argument list stops. *)
+let span_stop_toks =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun t -> Hashtbl.replace tbl t ())
+    [ ";"; ","; "in"; "done"; "then"; "else"; "with"; "|"; "|>"; "let"; "and"; "end"; "do" ];
+  tbl
+
+let arg_span (body : S.tok array) i =
+  let n = Array.length body in
+  let level = ref 0 in
+  let j = ref (i + 1) in
+  let stop = ref false in
+  while (not !stop) && !j < n do
+    let t = body.(!j).S.t in
+    match t with
+    | "(" | "[" | "{" ->
+        incr level;
+        incr j
+    | ")" | "]" | "}" -> if !level = 0 then stop := true else (decr level; incr j)
+    | t when !level = 0 && Hashtbl.mem span_stop_toks t -> stop := true
+    | _ -> incr j
+  done;
+  !j
+
+let def_params (d : def) =
+  let body = d.d_body in
+  let n = Array.length body in
+  (* Skip the binding keyword, attributes, extension markers and [rec] to
+     land on the bound name, then collect header tokens up to the [=] at
+     bracket level 0. *)
+  let rec skip j =
+    if j >= n then j
+    else
+      let t = body.(j).S.t in
+      if is_attr t then skip (j + 1)
+      else if t = "%" then skip (j + 2)
+      else if t = "rec" then skip (j + 1)
+      else j
+  in
+  let start = skip 1 in
+  let params = ref [] in
+  let seen = Hashtbl.create 8 in
+  let level = ref 0 in
+  let j = ref (start + 1) in
+  let stop = ref false in
+  while (not !stop) && !j < n do
+    let t = body.(!j).S.t in
+    (match t with
+    | "(" | "[" | "{" -> incr level
+    | ")" | "]" | "}" -> decr level
+    | "=" when !level = 0 -> stop := true
+    | t when is_lower t && t <> "_" && not (String.contains t '.') ->
+        if not (Hashtbl.mem seen t) then begin
+          Hashtbl.replace seen t ();
+          params := t :: !params
+        end
+    | _ -> ());
+    incr j
+  done;
+  if !stop then List.rev !params else []
+
+(* Keywords that can follow an identifier without making it a function
+   head ([if p then ...] does not apply [p]). *)
+let application_keywords =
+  let tbl = Hashtbl.create 32 in
+  List.iter
+    (fun t -> Hashtbl.replace tbl t ())
+    [ "then"; "else"; "in"; "do"; "done"; "with"; "when"; "and"; "begin"; "end"; "rec"; "fun";
+      "function"; "match"; "let"; "if"; "try"; "mod"; "land"; "lor"; "lxor"; "lsl"; "lsr"; "asr";
+      "or"; "not"; "as"; "of"; "to"; "downto"; "while"; "for" ];
+  tbl
+
+(* Tokens after which an expression (and hence a function application)
+   can start; [a b] with [a] in argument position is preceded by another
+   identifier, which is not in this set, so curried-argument runs do not
+   look like applications of their members. *)
+let expr_starters =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun t -> Hashtbl.replace tbl t ())
+    [ ";"; "="; "->"; "("; "["; "{"; "begin"; "in"; "then"; "else"; "@@"; "|>"; ","; "|"; ":" ];
+  tbl
+
+(* Whether the identifier token at [i] is syntactically applied: it heads
+   an application (an expression can start here and an argument follows),
+   or it is handed to a [*.protect]-style combinator as the final thunk
+   ([Fun.protect ~finally:(...) f]). *)
+let applied_at (d : def) i =
+  let body = d.d_body in
+  let n = Array.length body in
+  let protect_before i =
+    let lo = max 0 (i - 14) in
+    let rec look j =
+      j >= lo
+      &&
+      let t = body.(j).S.t in
+      let comp =
+        match String.rindex_opt t '.' with
+        | Some k -> String.sub t (k + 1) (String.length t - k - 1)
+        | None -> t
+      in
+      comp = "protect" || look (j - 1)
+    in
+    look (i - 1)
+  in
+  protect_before i
+  ||
+  let next_ok =
+    i + 1 < n
+    &&
+    let t = body.(i + 1).S.t in
+    t = "(" || t = "~" || t = "!"
+    || (t <> "" && t.[0] >= '0' && t.[0] <= '9')
+    || ((is_lower t || is_upper t) && not (Hashtbl.mem application_keywords t))
+  in
+  let prev_ok = i > 0 && Hashtbl.mem expr_starters body.(i - 1).S.t in
+  next_ok && prev_ok
+
+(* A def is higher-order through parameter [p] when some occurrence of [p]
+   in the body sits in application position ([let r = p x in ...]) or is
+   handed to a protect-style combinator. *)
+let applies_params (d : def) =
+  match def_params d with
+  | [] -> false
+  | params ->
+      let ptbl = Hashtbl.create 8 in
+      List.iter (fun p -> Hashtbl.replace ptbl p ()) params;
+      let body = d.d_body in
+      let n = Array.length body in
+      let applied = ref false in
+      for i = 1 to n - 1 do
+        if (not !applied) && Hashtbl.mem ptbl body.(i).S.t && applied_at d i then applied := true
+      done;
+      !applied
+
+(* ------------------------------------------------------------------ *)
+(* Graph assembly                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let multi_add tbl key v =
+  match Hashtbl.find_opt tbl key with
+  | Some l -> Hashtbl.replace tbl key (v :: l)
+  | None -> Hashtbl.add tbl key [ v ]
+
+let modkey module_path = snd (last_two (split_dots module_path))
+
+let build_sources sources =
+  let ml, mli = List.partition (fun s -> Filename.check_suffix s.sc_file ".ml") sources in
+  let vals = List.concat_map (fun s -> vals_of_mli ~library:s.sc_library ~file:s.sc_file s.sc_text) mli in
+  (* Library modules that have an .mli: their surface is the val list. *)
+  let mli_modules = Hashtbl.create 16 in
+  let mli_vals = Hashtbl.create 64 in
+  List.iter
+    (fun v ->
+      Hashtbl.replace mli_modules (v.v_library, v.v_module) ();
+      Hashtbl.replace mli_vals (v.v_library, v.v_module, v.v_name) ())
+    vals;
+  List.iter
+    (fun s ->
+      if Filename.check_suffix s.sc_file ".mli" then
+        Hashtbl.replace mli_modules (s.sc_library, module_of_file s.sc_file) ())
+    mli;
+  let per_file = List.map (fun s -> (s, defs_of_ml ~library:s.sc_library ~entry:s.sc_entry ~file:s.sc_file s.sc_text)) ml in
+  let all = List.concat_map (fun (_, (ds, _, _)) -> ds) per_file in
+  let files =
+    List.map
+      (fun (s, (_, _, toks)) ->
+        { f_path = s.sc_file; f_library = s.sc_library; f_entry = s.sc_entry; f_toks = toks })
+      per_file
+  in
+  let defs =
+    Array.of_list
+      (List.mapi
+         (fun i d ->
+           let file_mod = module_of_file d.d_file in
+           let has_mli = Hashtbl.mem mli_modules (d.d_library, file_mod) in
+           let public =
+             (not d.d_entry)
+             &&
+             if has_mli then
+               d.d_module = file_mod && Hashtbl.mem mli_vals (d.d_library, file_mod, d.d_name)
+             else true
+           in
+           { d with d_id = i; d_public = public })
+         all)
+  in
+  (* Resolution indices. *)
+  let by_modkey = Hashtbl.create 256 in
+  let by_file = Hashtbl.create 256 in
+  Array.iter
+    (fun d ->
+      multi_add by_modkey (modkey d.d_module ^ "." ^ d.d_name) d.d_id;
+      multi_add by_file (d.d_file ^ ":" ^ d.d_name) d.d_id)
+    defs;
+  (* One flat alias table, pre-split: "file:name" -> reversed components of
+     the alias target, so the splice below is a rev_append not an append. *)
+  let rev_alias = Hashtbl.create 64 in
+  List.iter
+    (fun (s, (_, al, _)) ->
+      Hashtbl.iter
+        (fun name target ->
+          if target <> name then
+            Hashtbl.replace rev_alias (s.sc_file ^ ":" ^ name) (List.rev (split_dots target)))
+        al)
+    per_file;
+  let callees = Array.make (Array.length defs) [] in
+  let sites = Array.make (Array.length defs) [] in
+  let seen = Hashtbl.create 16 in
+  Array.iter
+    (fun d ->
+      Hashtbl.reset seen;
+      let site = ref 0 in
+      let add id =
+        if id <> d.d_id then begin
+          sites.(d.d_id) <- (!site, id) :: sites.(d.d_id);
+          if not (Hashtbl.mem seen id) then Hashtbl.replace seen id ()
+        end
+      in
+      Array.iteri
+        (fun tok_idx { S.t; _ } ->
+          site := tok_idx;
+          if String.contains t '.' then begin
+            match split_dots t with
+            | first :: rest when is_upper first ->
+                let comps =
+                  match Hashtbl.find_opt rev_alias (d.d_file ^ ":" ^ first) with
+                  | Some rev_target -> List.rev_append rev_target rest
+                  | None -> first :: rest
+                in
+                (* components: [...; hint; mk; name] *)
+                let rec split3 = function
+                  | [ mk; name ] -> Some ("", mk, name)
+                  | [ h; mk; name ] -> Some (h, mk, name)
+                  | _ :: (_ :: _ :: _ :: _ as tl) -> split3 tl
+                  | _ -> None
+                in
+                (match split3 comps with
+                | Some (h, mk, name) when is_lower name && is_upper mk ->
+                    (match Hashtbl.find_opt by_modkey (mk ^ "." ^ name) with
+                    | None -> ()
+                    | Some cands ->
+                        let cands =
+                          if h = "" then
+                            let same = List.filter (fun i -> defs.(i).d_library = d.d_library) cands in
+                            if same = [] then cands else same
+                          else
+                            List.filter
+                              (fun i ->
+                                let c = defs.(i) in
+                                String.capitalize_ascii c.d_library = h
+                                || List.exists (String.equal h) (split_dots c.d_module))
+                              cands
+                        in
+                        List.iter add cands)
+                | _ -> ())
+            | _ -> ()
+          end
+          else if is_lower t then
+            match Hashtbl.find_opt by_file (d.d_file ^ ":" ^ t) with
+            | Some cands -> List.iter add cands
+            | None -> ())
+        d.d_body;
+      callees.(d.d_id) <- List.sort Int.compare (Hashtbl.fold (fun k () acc -> k :: acc) seen []);
+      sites.(d.d_id) <- List.rev sites.(d.d_id))
+    defs;
+  (* One-step closure-argument resolution: a definition that applies one
+     of its formal parameters ([let locked t f = ... f () ...]) gains an
+     edge to every same-file definition passed to it as a bare identifier
+     argument, so witness chains no longer stop at the wrapper. Only the
+     wrapper's [callees] row is extended — [sites] keeps the caller's
+     lexical truth, which {!Cost} weights by loop depth. *)
+  let applies = Array.map applies_params defs in
+  let closure_edges = Hashtbl.create 32 in
+  Array.iter
+    (fun d ->
+      List.iter
+        (fun (i, c) ->
+          if applies.(c) then begin
+            let stop = arg_span d.d_body i in
+            let level = ref 0 in
+            for j = i + 1 to min (stop - 1) (Array.length d.d_body - 1) do
+              let t = d.d_body.(j).S.t in
+              match t with
+              | "(" | "[" | "{" -> incr level
+              | ")" | "]" | "}" -> decr level
+              | t
+                when !level = 0 && is_lower t && t <> "_" && not (String.contains t '.') -> (
+                  match Hashtbl.find_opt by_file (d.d_file ^ ":" ^ t) with
+                  | Some cands ->
+                      List.iter
+                        (fun id -> if id <> c then Hashtbl.replace closure_edges (c, id) ())
+                        cands
+                  | None -> ())
+              | _ -> ()
+            done
+          end)
+        sites.(d.d_id))
+    defs;
+  let extra = Array.make (Array.length defs) [] in
+  Hashtbl.iter (fun (c, id) () -> extra.(c) <- id :: extra.(c)) closure_edges;
+  Array.iteri
+    (fun c ids ->
+      if ids <> [] then
+        callees.(c) <-
+          List.sort_uniq Int.compare (List.rev_append ids callees.(c)))
+    extra;
+  { defs; callees; sites; vals; files }
+
+(* ------------------------------------------------------------------ *)
+(* Directory walking and dune stanza sniffing                         *)
+(* ------------------------------------------------------------------ *)
+
+let dune_info dir =
+  let f = Filename.concat dir "dune" in
+  if not (Sys.file_exists f) then None
+  else begin
+    let text = S.read_file f in
+    let entry = contains_sub text "(executable" || contains_sub text "(test" in
+    let name =
+      let len = String.length text in
+      let rec find i =
+        if i + 5 > len then None
+        else if String.sub text i 5 = "(name" then begin
+          let j = ref (i + 5) in
+          if !j < len && text.[!j] = 's' then incr j;
+          while !j < len && (text.[!j] = ' ' || text.[!j] = '\n' || text.[!j] = '\t') do
+            incr j
+          done;
+          let start = !j in
+          while
+            !j < len
+            && (match text.[!j] with
+               | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' -> true
+               | _ -> false)
+          do
+            incr j
+          done;
+          if !j > start then Some (String.sub text start (!j - start)) else None
+        end
+        else find (i + 1)
+      in
+      find 0
+    in
+    Some (name, entry)
+  end
+
+let rec gather inherited acc path =
+  if Sys.is_directory path then begin
+    let info =
+      match dune_info path with
+      | Some (nameopt, entry) ->
+          let name = match nameopt with Some n -> n | None -> Filename.basename path in
+          let entry = entry || match inherited with Some (_, e) -> e | None -> false in
+          Some (name, entry)
+      | None -> inherited
+    in
+    let names = Sys.readdir path in
+    Array.sort String.compare names;
+    Array.iter
+      (fun e ->
+        if String.length e > 0 && e.[0] <> '.' && e.[0] <> '_' then
+          gather info acc (Filename.concat path e))
+      names
+  end
+  else if Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli" then begin
+    let lib, entry =
+      match inherited with
+      | Some (n, e) -> (n, e)
+      | None -> (Filename.basename (Filename.dirname path), false)
+    in
+    acc := { sc_file = path; sc_library = lib; sc_entry = entry; sc_text = S.read_file path } :: !acc
+  end
+
+let build ?(entries = []) dirs =
+  let acc = ref [] in
+  List.iter (gather None acc) dirs;
+  let lib_sources = !acc in
+  let acc = ref [] in
+  List.iter (gather None acc) entries;
+  let entry_sources = List.map (fun s -> { s with sc_entry = true }) !acc in
+  build_sources (List.rev_append lib_sources (List.rev entry_sources))
+
+(* ------------------------------------------------------------------ *)
+(* Queries                                                            *)
+(* ------------------------------------------------------------------ *)
+
+let find_def g ~module_ ~name =
+  let found = ref None in
+  Array.iter
+    (fun d -> if !found = None && d.d_module = module_ && d.d_name = name then found := Some d)
+    g.defs;
+  !found
+
+let reachable g ~roots =
+  let n = Array.length g.defs in
+  let seen = Array.make n false in
+  let rec visit i =
+    if i >= 0 && i < n && not seen.(i) then begin
+      seen.(i) <- true;
+      List.iter visit g.callees.(i)
+    end
+  in
+  List.iter visit roots;
+  seen
+
+let witness g ~from ~target =
+  let n = Array.length g.defs in
+  if from < 0 || from >= n then None
+  else begin
+    let parent = Array.make n (-2) in
+    let q = Queue.create () in
+    parent.(from) <- -1;
+    Queue.add from q;
+    let found = ref None in
+    while !found = None && not (Queue.is_empty q) do
+      let i = Queue.pop q in
+      if target i then found := Some i
+      else
+        List.iter
+          (fun j ->
+            if parent.(j) = -2 then begin
+              parent.(j) <- i;
+              Queue.add j q
+            end)
+          g.callees.(i)
+    done;
+    match !found with
+    | None -> None
+    | Some stop ->
+        let rec unwind i acc = if parent.(i) = -1 then i :: acc else unwind parent.(i) (i :: acc) in
+        Some (unwind stop [])
+  end

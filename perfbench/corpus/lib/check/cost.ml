@@ -1,0 +1,449 @@
+(* Loop-cost and allocation analysis. Intraprocedural loop structure is
+   recovered token-by-token (for/while blocks, higher-order iteration
+   argument spans, recursive bodies); interprocedural facts are Kleene
+   fixpoints on finite lattices, mirroring Effect. See cost.mli and
+   DESIGN.md §12 for the accepted blind spots. *)
+
+module S = Srclint
+
+let max_depth = 3
+let clamp v = if v > max_depth then max_depth else v
+
+(* ------------------------------------------------------------------ *)
+(* Primitive tables (Hashtbl membership: these are consulted once per
+   token, inside the scanning loops this very pass audits)             *)
+(* ------------------------------------------------------------------ *)
+
+let table names =
+  let t = Hashtbl.create (2 * List.length names) in
+  List.iter (fun name -> Hashtbl.replace t name ()) names;
+  t
+
+let quad_prims =
+  table
+    [ "List.append"; "@"; "List.mem"; "List.memq"; "List.mem_assoc"; "List.assoc";
+      "List.assoc_opt"; "List.nth"; "List.nth_opt" ]
+
+let rebuild_names =
+  [ "Hashtbl.create"; "Array.make"; "Array.create_float"; "Array.make_matrix"; "Buffer.create";
+    "Bytes.create"; "Queue.create"; "Stack.create"; "Array.to_list"; "Array.of_list" ]
+
+let rebuild_prims = table rebuild_names
+
+(* Everything above plus cheap-once constructors: allocating once is
+   fine anywhere, so these only matter through the per-iteration bit. *)
+let alloc_prims =
+  table
+    (List.append rebuild_names
+       [ "Array.append"; "Array.copy"; "Array.sub"; "Array.concat"; "Array.init"; "List.init";
+         "String.concat"; "String.sub" ])
+
+(* ------------------------------------------------------------------ *)
+(* Higher-order iteration call recognition                            *)
+(* ------------------------------------------------------------------ *)
+
+let hof_prefixes =
+  [ "iter"; "map"; "fold"; "filter"; "for_all"; "exists"; "partition"; "concat"; "sort" ]
+
+(* Modules whose map/fold run the callback at most once. *)
+let scalar_modules =
+  table
+    [ "Option"; "Result"; "Either"; "Fun"; "Lazy"; "Atomic"; "Float"; "Int"; "Int32"; "Int64";
+      "Nativeint"; "Bool"; "Char"; "Unit" ]
+
+let first_dot_component t =
+  match String.index_opt t '.' with Some i -> String.sub t 0 i | None -> t
+
+let last_dot_component t =
+  match String.rindex_opt t '.' with
+  | Some i -> String.sub t (i + 1) (String.length t - i - 1)
+  | None -> t
+
+(* [comp] names an iteration combinator when it extends a known prefix
+   with nothing, an underscore suffix (fold_left, iter_flows, sort_uniq),
+   an [i] (iteri, mapi, filteri) or an arity digit (map2, for_all2). *)
+let matches_prefix comp p =
+  let lp = String.length p and lc = String.length comp in
+  lc >= lp
+  && String.sub comp 0 lp = p
+  && (lc = lp || match comp.[lp] with '_' | 'i' | '0' .. '9' -> true | _ -> false)
+
+let is_loop_hof t =
+  String.contains t '.'
+  && (not (Hashtbl.mem scalar_modules (first_dot_component t)))
+  &&
+  let comp = last_dot_component t in
+  comp <> ""
+  && comp.[0] >= 'a'
+  && comp.[0] <= 'z'
+  && List.exists (matches_prefix comp) hof_prefixes
+
+(* ------------------------------------------------------------------ *)
+(* Per-token lexical loop depth                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Tokens that end a pending application span at their bracket level:
+   after [let xs = List.map f ys in ...] the [in] closes the span. *)
+let stop_tokens =
+  table [ ";"; ","; "in"; "done"; "then"; "else"; "with"; "|"; "|>"; "let"; "and"; "end"; "do" ]
+
+let depths (body : S.tok array) =
+  let n = Array.length body in
+  let d = Array.make n 0 in
+  let bracket = ref 0 in
+  (* Open for/while blocks, closed by [done]. *)
+  let dones = ref 0 in
+  (* Bracket levels of open iteration-call argument spans, innermost
+     first: [List.iter (fun ...) xs] keeps its span open until a stop
+     token or a closing bracket at or below the recorded level. *)
+  let pendings = ref [] in
+  (* Open [let] bindings, innermost first, flagged [rec]: tokens inside a
+     [let rec ... in] definition may re-run on every recursive call, so
+     each open rec binding adds one level. A toplevel [let rec f] never
+     meets its [in], covering the whole body — exactly right for a
+     recursive toplevel definition. *)
+  let lets = ref [] in
+  let rec_depth () = List.length (List.filter (fun r -> r) !lets) in
+  for i = 0 to n - 1 do
+    let t = body.(i).S.t in
+    (match t with
+    | ")" | "]" | "}" ->
+        bracket := max 0 (!bracket - 1);
+        pendings := List.filter (fun l -> l <= !bracket) !pendings
+    | _ -> ());
+    if Hashtbl.mem stop_tokens t then begin
+      pendings := List.filter (fun l -> l < !bracket) !pendings;
+      if t = "done" then dones := max 0 (!dones - 1)
+    end;
+    if t = "in" then lets := (match !lets with _ :: tl -> tl | [] -> []);
+    d.(i) <- !dones + List.length !pendings + rec_depth ();
+    match t with
+    | "(" | "[" | "{" -> incr bracket
+    | "for" | "while" -> incr dones
+    | "let" -> lets := (i + 1 < n && body.(i + 1).S.t = "rec") :: !lets
+    | _ -> if is_loop_hof t then pendings := !bracket :: !pendings
+  done;
+  d
+
+let depths_of_string text =
+  let toks = S.tokenize (S.clean text).S.text in
+  let d = depths toks in
+  Array.mapi (fun i { S.t; _ } -> (t, d.(i))) toks
+
+(* [and]-chained definitions carry no [let rec] of their own: a self-call
+   of the bound name marks the body recursive. Plain [let] bodies cannot
+   self-call, so name shadowing ([let loads ... = let loads, _ = ...])
+   stays quiet. *)
+let def_depths (d : Callgraph.def) =
+  let body = d.Callgraph.d_body in
+  let dep = depths body in
+  let n = Array.length body in
+  if n > 0 && body.(0).S.t = "and" && d.Callgraph.d_name <> "_" && d.Callgraph.d_name <> "()"
+  then begin
+    let uses = ref 0 in
+    Array.iter (fun { S.t; _ } -> if t = d.Callgraph.d_name then incr uses) body;
+    if !uses >= 2 then
+      for j = 0 to n - 1 do
+        dep.(j) <- dep.(j) + 1
+      done
+  end;
+  dep
+
+(* ------------------------------------------------------------------ *)
+(* Per-definition base facts                                          *)
+(* ------------------------------------------------------------------ *)
+
+type facts = {
+  f_dep : int array;  (** lexical loop depth per body token *)
+  f_quad : (int * string) list;  (** (token index, prim) at depth >= 1 *)
+  f_rebuild : (int * string) list;
+  f_alloc_any : bool;
+  f_alloc_iter : bool;  (** a local allocation site at depth >= 1 *)
+  f_local : int;  (** max lexical depth over the body *)
+}
+
+let facts_of_def (d : Callgraph.def) =
+  let body = d.Callgraph.d_body in
+  let dep = def_depths d in
+  let quad = ref [] and rebuild = ref [] in
+  let alloc_any = ref false and alloc_iter = ref false in
+  let local = ref 0 in
+  (* A bare [@] token that is part of a parenthesized operator name — the
+     [*@] of [U.( *@ )], or a section like [( @ )] — is not list append;
+     the tokenizer splits unknown two-char operators apart. *)
+  let operator_position i =
+    body.(i).S.t = "@"
+    && ((i > 0 && (body.(i - 1).S.t = "*" || body.(i - 1).S.t = "("))
+       || (i + 1 < Array.length body && body.(i + 1).S.t = ")"))
+  in
+  Array.iteri
+    (fun i { S.t; _ } ->
+      if dep.(i) > !local then local := dep.(i);
+      if Hashtbl.mem alloc_prims t then begin
+        alloc_any := true;
+        if dep.(i) >= 1 then alloc_iter := true
+      end;
+      if dep.(i) >= 1 then begin
+        if Hashtbl.mem quad_prims t && not (operator_position i) then quad := (i, t) :: !quad;
+        if Hashtbl.mem rebuild_prims t then rebuild := (i, t) :: !rebuild
+      end)
+    body;
+  {
+    f_dep = dep;
+    f_quad = List.rev !quad;
+    f_rebuild = List.rev !rebuild;
+    f_alloc_any = !alloc_any;
+    f_alloc_iter = !alloc_iter;
+    f_local = !local;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* Interprocedural fixpoints                                          *)
+(* ------------------------------------------------------------------ *)
+
+type info = { c_local_depth : int; c_cost : int; c_alloc : bool; c_alloc_per_iter : bool }
+
+type analysis = {
+  a_facts : facts array;
+  a_cost : int array;
+  a_alloc : bool array;
+  a_per_iter : bool array;
+}
+
+let site_depth facts i tok = if tok < Array.length facts.(i).f_dep then facts.(i).f_dep.(tok) else 0
+
+let compute (g : Callgraph.t) =
+  let defs = g.Callgraph.defs in
+  let n = Array.length defs in
+  let facts = Array.init n (fun i -> facts_of_def defs.(i)) in
+  (* Cost: lexical depth plus callee cost weighted by the call site's
+     depth, clamped — a finite lattice, so the iteration terminates. *)
+  let cost = Array.init n (fun i -> clamp facts.(i).f_local) in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for i = 0 to n - 1 do
+      let c =
+        List.fold_left
+          (fun acc (tok, j) -> max acc (clamp (site_depth facts i tok + cost.(j))))
+          cost.(i) g.Callgraph.sites.(i)
+      in
+      if c > cost.(i) then begin
+        cost.(i) <- c;
+        changed := true
+      end
+    done
+  done;
+  (* May-allocate, then may-allocate-per-iteration (needs the former:
+     calling an allocator from inside a loop allocates every pass). *)
+  let alloc = Array.init n (fun i -> facts.(i).f_alloc_any) in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for i = 0 to n - 1 do
+      if (not alloc.(i)) && List.exists (fun j -> alloc.(j)) g.Callgraph.callees.(i) then begin
+        alloc.(i) <- true;
+        changed := true
+      end
+    done
+  done;
+  let per_iter = Array.init n (fun i -> facts.(i).f_alloc_iter) in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for i = 0 to n - 1 do
+      if
+        (not per_iter.(i))
+        && List.exists
+             (fun (tok, j) -> per_iter.(j) || (site_depth facts i tok >= 1 && alloc.(j)))
+             g.Callgraph.sites.(i)
+      then begin
+        per_iter.(i) <- true;
+        changed := true
+      end
+    done
+  done;
+  { a_facts = facts; a_cost = cost; a_alloc = alloc; a_per_iter = per_iter }
+
+let infer g =
+  let a = compute g in
+  Array.init
+    (Array.length g.Callgraph.defs)
+    (fun i ->
+      {
+        c_local_depth = a.a_facts.(i).f_local;
+        c_cost = a.a_cost.(i);
+        c_alloc = a.a_alloc.(i);
+        c_alloc_per_iter = a.a_per_iter.(i);
+      })
+
+(* ------------------------------------------------------------------ *)
+(* Rules                                                              *)
+(* ------------------------------------------------------------------ *)
+
+let rules =
+  [
+    ("quadratic-list-op", "O(n) list primitive (List.append/@/mem/assoc/nth) inside a loop");
+    ("rebuild-in-loop", "container (Hashtbl/Array/Buffer/...) rebuilt on every loop iteration");
+    ( "alloc-in-hot-loop",
+      "declared hot entrypoint transitively allocates on every iteration (warn)" );
+    ( "memo-unsafe",
+      "declared memoized function shows nondet/IO/partial effects or raises directly" );
+    ("cost-manifest", "a check/cost.json entry does not resolve, or the manifest has an unknown key");
+  ]
+
+let qualified (d : Callgraph.def) = d.Callgraph.d_module ^ "." ^ d.Callgraph.d_name
+
+let chain_str (g : Callgraph.t) ids =
+  String.concat " -> " (List.map (fun i -> qualified g.Callgraph.defs.(i)) ids)
+
+let modkey module_path =
+  match String.rindex_opt module_path '.' with
+  | Some i -> String.sub module_path (i + 1) (String.length module_path - i - 1)
+  | None -> module_path
+
+(* Same convention as Share.resolve_entry: "Replay.run" matches on the
+   module key, "Response.Replay.run" also library-qualified. *)
+let resolve_entry (g : Callgraph.t) name =
+  let matches (d : Callgraph.def) =
+    let mk = modkey d.Callgraph.d_module ^ "." ^ d.Callgraph.d_name in
+    let qual = qualified d in
+    let lib_qual = String.capitalize_ascii d.Callgraph.d_library ^ "." ^ qual in
+    name = mk || name = qual || name = lib_qual
+  in
+  Array.to_list g.Callgraph.defs |> List.filter matches
+
+let analyze ?(manifest = []) (g : Callgraph.t) =
+  let defs = g.Callgraph.defs in
+  let n = Array.length defs in
+  let a = compute g in
+  let findings = ref [] in
+  let add f = findings := f :: !findings in
+  let where_site (d : Callgraph.def) tok =
+    let body = d.Callgraph.d_body in
+    let line = if tok < Array.length body then body.(tok).S.tline else d.Callgraph.d_line in
+    Printf.sprintf "%s:%d" d.Callgraph.d_file line
+  in
+  (* Intra-procedural site rules over library definitions only: entry
+     points (tests, benches, executables) are reachability context. *)
+  Array.iter
+    (fun (d : Callgraph.def) ->
+      if not d.Callgraph.d_entry then begin
+        let i = d.Callgraph.d_id in
+        List.iter
+          (fun (tok, prim) ->
+            add
+              (Finding.v ~rule:"quadratic-list-op" ~where:(where_site d tok)
+                 (Printf.sprintf "%s at loop depth %d in %s: O(n) per iteration" prim
+                    a.a_facts.(i).f_dep.(tok) (qualified d))))
+          a.a_facts.(i).f_quad;
+        List.iter
+          (fun (tok, prim) ->
+            add
+              (Finding.v ~rule:"rebuild-in-loop" ~where:(where_site d tok)
+                 (Printf.sprintf "%s at loop depth %d in %s rebuilds a container every iteration"
+                    prim
+                    a.a_facts.(i).f_dep.(tok) (qualified d))))
+          a.a_facts.(i).f_rebuild
+      end)
+    defs;
+  (* Manifest-driven rules. *)
+  List.iter
+    (fun (key, _) ->
+      match key with
+      | "hot" | "memo" -> ()
+      | _ ->
+          add
+            (Finding.v ~rule:"cost-manifest" ~where:"check/cost.json"
+               (Printf.sprintf "unknown manifest key %S (expected \"hot\" or \"memo\")" key)))
+    manifest;
+  let resolve_all key =
+    match List.assoc_opt key manifest with
+    | None -> []
+    | Some names ->
+        List.concat_map
+          (fun name ->
+            match resolve_entry g name with
+            | [] ->
+                add
+                  (Finding.v ~rule:"cost-manifest" ~where:"check/cost.json"
+                     (Printf.sprintf "%s entrypoint %s does not resolve to any definition" key
+                        name));
+                []
+            | ds -> ds)
+          names
+  in
+  let hot = resolve_all "hot" in
+  let memo = resolve_all "memo" in
+  (* alloc-in-hot-loop: one warning per hot entrypoint that transitively
+     allocates per iteration, with the chain to the allocating site. *)
+  let local_iter_evidence j =
+    a.a_facts.(j).f_alloc_iter
+    || List.exists
+         (fun (tok, k) -> site_depth a.a_facts j tok >= 1 && a.a_alloc.(k))
+         g.Callgraph.sites.(j)
+  in
+  List.iter
+    (fun (d : Callgraph.def) ->
+      let i = d.Callgraph.d_id in
+      if a.a_per_iter.(i) then begin
+        let via =
+          match Callgraph.witness g ~from:i ~target:local_iter_evidence with
+          | Some ids -> chain_str g ids
+          | None -> qualified d
+        in
+        add
+          (Finding.v ~severity:Finding.Warn ~rule:"alloc-in-hot-loop"
+             ~where:(Printf.sprintf "%s:%d" d.Callgraph.d_file d.Callgraph.d_line)
+             (Printf.sprintf "hot entrypoint %s allocates per iteration (via %s)" (qualified d)
+                via))
+      end)
+    hot;
+  (* memo-unsafe: Effect facts with the obs library treated as
+     value-transparent (spans read clocks but do not change the wrapped
+     result; Eutil.Memo never caches an exceptional outcome). A raise in
+     the memoized body itself still disqualifies it. *)
+  if memo <> [] then begin
+    let base =
+      Array.init n (fun i ->
+          if defs.(i).Callgraph.d_library = "obs" then Effect.empty
+          else Effect.base_of_body defs.(i).Callgraph.d_body)
+    in
+    let eff =
+      Effect.fixpoint ~n ~callees:(fun i -> g.Callgraph.callees.(i)) ~base:(fun i -> base.(i))
+    in
+    let pick set = match Effect.Strings.min_elt_opt set with Some s -> s | None -> "?" in
+    List.iter
+      (fun (d : Callgraph.def) ->
+        let i = d.Callgraph.d_id in
+        let where = Printf.sprintf "%s:%d" d.Callgraph.d_file d.Callgraph.d_line in
+        let witness_to sel =
+          match
+            Callgraph.witness g ~from:i ~target:(fun j -> not (Effect.Strings.is_empty (sel base.(j))))
+          with
+          | Some ids -> chain_str g ids
+          | None -> qualified d
+        in
+        if not (Effect.Strings.is_empty (eff.(i)).Effect.nondet) then
+          add
+            (Finding.v ~rule:"memo-unsafe" ~where
+               (Printf.sprintf "memoized %s is nondeterministic: %s (via %s)" (qualified d)
+                  (pick (eff.(i)).Effect.nondet)
+                  (witness_to (fun e -> e.Effect.nondet))));
+        if not (Effect.Strings.is_empty (eff.(i)).Effect.partial) then
+          add
+            (Finding.v ~rule:"memo-unsafe" ~where
+               (Printf.sprintf "memoized %s can hit partial %s (via %s)" (qualified d)
+                  (pick (eff.(i)).Effect.partial)
+                  (witness_to (fun e -> e.Effect.partial))));
+        if (eff.(i)).Effect.io then
+          add
+            (Finding.v ~rule:"memo-unsafe" ~where
+               (Printf.sprintf "memoized %s performs IO" (qualified d)));
+        if (Effect.base_of_body d.Callgraph.d_body).Effect.raises then
+          add
+            (Finding.v ~rule:"memo-unsafe" ~where
+               (Printf.sprintf "memoized %s raises directly in its own body" (qualified d))))
+      memo
+  end;
+  List.rev !findings

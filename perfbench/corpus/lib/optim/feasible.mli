@@ -1,0 +1,73 @@
+(** Unsplittable-flow routing with capacity accounting: can a given active
+    subgraph carry a traffic matrix?
+
+    The underlying decision problem is NP-hard for unsplittable flows, so this
+    is a deterministic constructive check (the standard approach in the
+    energy-aware routing literature): flows are placed in decreasing volume
+    order on congestion-aware shortest paths among arcs with sufficient
+    residual capacity. A [Some] answer is a certificate of feasibility; [None]
+    is conservative. *)
+
+type t
+(** Mutable placement state: active links, per-arc residual capacity and the
+    committed path of every placed flow. *)
+
+val create : ?margin:float -> ?state:Topo.State.t -> Topo.Graph.t -> t
+(** Fresh placement over the given activity state (all-on by default).
+    [margin] is the paper's safety margin [sm] (Section 4.5): flows may use at
+    most [margin * capacity] of every arc (default 1.0).
+    @raise Invalid_argument if [margin] is not positive. *)
+
+val graph : t -> Topo.Graph.t
+val state : t -> Topo.State.t
+
+val margin : t -> float
+
+val residual : t -> int -> float
+(** Remaining usable capacity of an arc. *)
+
+val load : t -> int -> float
+(** Committed load on an arc. *)
+
+val link_load : t -> int -> float
+(** Committed load on an undirected link (max of the two directions). *)
+
+val utilization : t -> int -> float
+(** Arc load divided by arc capacity. *)
+
+val max_utilization : t -> float
+
+val congestion_weight : t -> Topo.Graph.arc -> float
+(** Routing weight: latency scaled by (1 + utilisation), so placement spreads
+    load before saturating. *)
+
+val place : t -> int -> int -> float -> Topo.Path.t option
+(** [place t o d demand] routes the flow on the best feasible path and commits
+    it. [None] when no active path has enough residual capacity. A flow for
+    the pair must not already be placed.
+    @raise Invalid_argument if the pair is already placed or [demand] is
+    not positive. *)
+
+val place_on : t -> Topo.Path.t -> float -> bool
+(** Commits a flow on an explicit path if the path is active and has residual
+    capacity everywhere; returns false (and commits nothing) otherwise.
+    @raise Invalid_argument if the path's pair is already placed. *)
+
+val remove : t -> int -> int -> (Topo.Path.t * float) option
+(** Withdraws the committed flow of a pair, restoring residual capacity. *)
+
+val path_of : t -> int -> int -> Topo.Path.t option
+
+val flows : t -> (int * int * float) list
+(** Committed flows (pair and volume), in placement-independent order. *)
+
+val route_matrix : t -> Traffic.Matrix.t -> bool
+(** Places every positive demand of the matrix (largest first). Returns false
+    and leaves the placement in a partially-filled state if some flow cannot
+    be placed — callers doing trial moves should use {!snapshot}/{!restore}
+    or rebuild. *)
+
+type snapshot
+
+val snapshot : t -> snapshot
+val restore : t -> snapshot -> unit
