@@ -1,3 +1,16 @@
+(* The undo trail of an open trial. Arc writes are logged as (arc, old
+   residual, old load) in parallel arrays so the floats stay unboxed;
+   pair writes are logged as the pair's previous binding. Rollback
+   replays both logs newest first, so every arc ends on the value it had
+   when the trial began, bit for bit. *)
+type trail = {
+  mutable arcs : int array;
+  mutable old_residual : float array;
+  mutable old_load : float array;
+  mutable len : int;
+  mutable pairs : ((int * int) * (Topo.Path.t * float) option) list;
+}
+
 type t = {
   g : Topo.Graph.t;
   margin_v : float;
@@ -5,6 +18,8 @@ type t = {
   residual_a : float array;
   load_a : float array;
   placed : (int * int, Topo.Path.t * float) Hashtbl.t;
+  mutable in_trial : bool;
+  trail : trail;
 }
 
 let create ?(margin = 1.0) ?state g =
@@ -14,7 +29,17 @@ let create ?(margin = 1.0) ?state g =
   let residual_a =
     Array.init n_arcs (fun a -> margin *. (Topo.Graph.arc g a).Topo.Graph.capacity)
   in
-  { g; margin_v = margin; st; residual_a; load_a = Array.make n_arcs 0.0; placed = Hashtbl.create 64 }
+  {
+    g;
+    margin_v = margin;
+    st;
+    residual_a;
+    load_a = Array.make n_arcs 0.0;
+    placed = Hashtbl.create 64;
+    in_trial = false;
+    trail =
+      { arcs = [||]; old_residual = [||]; old_load = [||]; len = 0; pairs = [] };
+  }
 
 let graph t = t.g
 let state t = t.st
@@ -36,13 +61,37 @@ let max_utilization t =
 let congestion_weight t arc =
   arc.Topo.Graph.latency *. (1.0 +. (3.0 *. utilization t arc.Topo.Graph.id))
 
+let log_arc t a =
+  let tr = t.trail in
+  if tr.len = Array.length tr.arcs then begin
+    let cap = max 64 (2 * tr.len) in
+    let grow arr fill =
+      let bigger = Array.make cap fill in
+      Array.blit arr 0 bigger 0 tr.len;
+      bigger
+    in
+    tr.arcs <- grow tr.arcs 0;
+    tr.old_residual <- grow tr.old_residual 0.0;
+    tr.old_load <- grow tr.old_load 0.0
+  end;
+  tr.arcs.(tr.len) <- a;
+  tr.old_residual.(tr.len) <- t.residual_a.(a);
+  tr.old_load.(tr.len) <- t.load_a.(a);
+  tr.len <- tr.len + 1
+
+let log_pair t key =
+  t.trail.pairs <- (key, Hashtbl.find_opt t.placed key) :: t.trail.pairs
+
 let commit t p demand =
   Array.iter
     (fun a ->
+      if t.in_trial then log_arc t a;
       t.residual_a.(a) <- t.residual_a.(a) -. demand;
       t.load_a.(a) <- t.load_a.(a) +. demand)
     p.Topo.Path.arcs;
-  Hashtbl.replace t.placed (p.Topo.Path.src, p.Topo.Path.dst) (p, demand)
+  let key = (p.Topo.Path.src, p.Topo.Path.dst) in
+  if t.in_trial then log_pair t key;
+  Hashtbl.replace t.placed key (p, demand)
 
 let place t o d demand =
   if Hashtbl.mem t.placed (o, d) then invalid_arg "Feasible.place: already placed";
@@ -77,9 +126,11 @@ let remove t o d =
   | Some (p, demand) ->
       Array.iter
         (fun a ->
+          if t.in_trial then log_arc t a;
           t.residual_a.(a) <- t.residual_a.(a) +. demand;
           t.load_a.(a) <- t.load_a.(a) -. demand)
         p.Topo.Path.arcs;
+      if t.in_trial then log_pair t (o, d);
       Hashtbl.remove t.placed (o, d);
       Some (p, demand)
 
@@ -88,6 +139,43 @@ let path_of t o d = Option.map fst (Hashtbl.find_opt t.placed (o, d))
 let flows t =
   Hashtbl.fold (fun (o, d) (_, v) acc -> (o, d, v) :: acc) t.placed []
   |> List.sort (Eutil.Order.triple Int.compare Int.compare Float.compare)
+
+let flows_through t links =
+  Hashtbl.fold
+    (fun (o, d) (p, v) acc ->
+      if List.exists (fun l -> Topo.Path.uses_link t.g p l) links then (o, d, v) :: acc
+      else acc)
+    t.placed []
+  |> List.sort
+       (Eutil.Order.by
+          (fun (o, d, v) -> (v, o, d))
+          (Eutil.Order.triple (Eutil.Order.desc Float.compare) Int.compare Int.compare))
+
+let begin_trial t =
+  if t.in_trial then invalid_arg "Feasible.begin_trial: trial already open";
+  t.in_trial <- true
+
+let end_trial t =
+  if not t.in_trial then invalid_arg "Feasible.end_trial: no open trial";
+  t.in_trial <- false;
+  t.trail.len <- 0;
+  t.trail.pairs <- []
+
+let rollback t =
+  if not t.in_trial then invalid_arg "Feasible.rollback: no open trial";
+  let tr = t.trail in
+  for i = tr.len - 1 downto 0 do
+    let a = tr.arcs.(i) in
+    t.residual_a.(a) <- tr.old_residual.(i);
+    t.load_a.(a) <- tr.old_load.(i)
+  done;
+  List.iter
+    (fun (key, old) ->
+      match old with
+      | Some binding -> Hashtbl.replace t.placed key binding
+      | None -> Hashtbl.remove t.placed key)
+    tr.pairs;
+  end_trial t
 
 let route_matrix t tm =
   List.for_all

@@ -61,11 +61,46 @@ val path_of : t -> int -> int -> Topo.Path.t option
 val flows : t -> (int * int * float) list
 (** Committed flows (pair and volume), in placement-independent order. *)
 
+val flows_through : t -> int list -> (int * int * float) list
+(** Committed flows whose path uses at least one of the given links,
+    largest volume first (ties by origin, then destination). Costs one pass
+    over the placed flows plus a sort of the matches only. *)
+
 val route_matrix : t -> Traffic.Matrix.t -> bool
 (** Places every positive demand of the matrix (largest first). Returns false
     and leaves the placement in a partially-filled state if some flow cannot
-    be placed — callers doing trial moves should use {!snapshot}/{!restore}
-    or rebuild. *)
+    be placed — callers doing trial moves should open a trial
+    ({!begin_trial}) and {!rollback} it, or rebuild. *)
+
+(** {2 Trials}
+
+    A trial makes a tentative sequence of {!place}, {!place_on} and
+    {!remove} calls undoable at the cost of what it touches. While a trial
+    is open every arc write logs the arc's previous residual and load, and
+    every pair write logs the pair's previous placement. {!rollback} replays
+    that log newest first, so the state returns to the exact float bits it
+    had at {!begin_trial}; {!end_trial} keeps the changes and drops the
+    log. With no trial open the log costs one branch per write. The
+    activity state ({!state}) is not part of a trial: callers that switch
+    links off for a trial switch them back on themselves. *)
+
+val begin_trial : t -> unit
+(** Opens a trial.
+    @raise Invalid_argument if a trial is already open. *)
+
+val rollback : t -> unit
+(** Undoes every placement change since {!begin_trial} and closes the trial.
+    @raise Invalid_argument if no trial is open. *)
+
+val end_trial : t -> unit
+(** Keeps every placement change since {!begin_trial} and closes the trial.
+    @raise Invalid_argument if no trial is open. *)
+
+(** {2 Snapshots}
+
+    A full copy of the placement state. Trials do the same job at the cost
+    of what they touch; snapshots remain as the simple reference the trial
+    log is tested against. *)
 
 type snapshot
 

@@ -100,33 +100,56 @@ let result_of g power f =
     power_percent = Power.Model.percent_of_full power g st;
   }
 
-let try_move g f reroute move =
+(* Greedy work, tallied per [power_down] call and flushed to the registry
+   once at its end, as [Routing.Dijkstra] does with its heap counters. *)
+let m_moves_tried =
+  Obs.Metric.Counter.create ~help:"Power-down greedy moves that displaced links"
+    "optim_moves_tried_total"
+
+let m_moves_accepted =
+  Obs.Metric.Counter.create ~help:"Power-down greedy moves kept (links switched off)"
+    "optim_moves_accepted_total"
+
+let m_flows_rerouted =
+  Obs.Metric.Counter.create ~help:"Reroute attempts for flows displaced by greedy moves"
+    "optim_flows_rerouted_total"
+
+type tally = { mutable tried : int; mutable accepted : int; mutable rerouted : int }
+
+(* Switches the move's active links off and reroutes the flows that used
+   them, largest first; on the first flow that cannot be rerouted the
+   links come back on and the trial is rolled back. *)
+let try_move g f reroute tally links =
   let st = Feasible.state f in
-  let relevant = List.filter (fun l -> Topo.State.link_on st l) move.links in
-  if relevant = [] then false
-  else begin
-    let affected =
-      List.filter
-        (fun (o, d, _) ->
-          match Feasible.path_of f o d with
-          | Some p -> List.exists (fun l -> Topo.Path.uses_link g p l) relevant
-          | None -> false)
-        (Feasible.flows f)
-      |> List.sort
-           (Eutil.Order.by
-              (fun (o, d, v) -> (v, o, d))
-              (Eutil.Order.triple (Eutil.Order.desc Float.compare) Int.compare Int.compare))
-    in
-    let snap = Feasible.snapshot f in
+  let relevant = List.filter (fun l -> Topo.State.link_on st l) links in
+  if relevant <> [] then begin
+    tally.tried <- tally.tried + 1;
+    let affected = Feasible.flows_through f relevant in
+    Feasible.begin_trial f;
     List.iter (fun (o, d, _) -> ignore (Feasible.remove f o d)) affected;
     List.iter (fun l -> Topo.State.set_link g st l false) relevant;
-    let ok = List.for_all (fun (o, d, v) -> reroute f o d v <> None) affected in
-    if not ok then begin
+    let ok =
+      List.for_all
+        (fun (o, d, v) ->
+          tally.rerouted <- tally.rerouted + 1;
+          reroute f o d v <> None)
+        affected
+    in
+    if ok then begin
+      tally.accepted <- tally.accepted + 1;
+      Feasible.end_trial f
+    end
+    else begin
       List.iter (fun l -> Topo.State.set_link g st l true) relevant;
-      Feasible.restore f snap
-    end;
-    ok
+      Feasible.rollback f
+    end
   end
+
+let moves g power tm =
+  let links m = m.links in
+  List.rev_append
+    (List.rev_map links (router_moves g power tm))
+    (List.map links (link_moves g power))
 
 let power_down ?margin ?(pinned = fun _ -> false) ?(reroute = dijkstra_reroute) g power
     tm =
@@ -134,11 +157,15 @@ let power_down ?margin ?(pinned = fun _ -> false) ?(reroute = dijkstra_reroute) 
   let f = Feasible.create ~margin g in
   if not (Feasible.route_matrix f tm) then None
   else begin
-    let moves = router_moves g power tm @ link_moves g power in
+    let tally = { tried = 0; accepted = 0; rerouted = 0 } in
     List.iter
-      (fun move ->
-        if not (List.exists pinned move.links) then ignore (try_move g f reroute move))
-      moves;
+      (fun links -> if not (List.exists pinned links) then try_move g f reroute tally links)
+      (moves g power tm);
+    if Obs.Control.enabled () then begin
+      Obs.Metric.Counter.add_int m_moves_tried tally.tried;
+      Obs.Metric.Counter.add_int m_moves_accepted tally.accepted;
+      Obs.Metric.Counter.add_int m_flows_rerouted tally.rerouted
+    end;
     Some (result_of g power f)
   end
 

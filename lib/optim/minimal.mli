@@ -30,6 +30,12 @@ val ksp_reroute : (int * int, Topo.Path.t list) Hashtbl.t -> reroute
 (** GreenTE-style rerouting restricted to precomputed k-shortest candidate
     paths per pair; the cheapest feasible candidate wins. *)
 
+val moves : Topo.Graph.t -> Power.Model.t -> Traffic.Matrix.t -> int list list
+(** The greedy's candidate moves in the order {!power_down} tries them, each
+    the set of links it switches off together: whole routers that neither
+    originate nor terminate demand first, then single links, each group by
+    decreasing power saved (ties by link identifiers). *)
+
 val power_down :
   ?margin:Eutil.Units.ratio Eutil.Units.q ->
   ?pinned:(int -> bool) ->
@@ -41,7 +47,14 @@ val power_down :
 (** Runs the greedy. [pinned l] protects link [l] from being switched off
     (used to keep already-deployed always-on elements powered when computing
     on-demand paths). [None] when even the full network cannot carry the
-    matrix. Deterministic: ties are broken by element identifier. *)
+    matrix. Deterministic: ties are broken by element identifier.
+
+    A move is tried by switching its links off and rerouting the flows
+    that used them inside a {!Feasible} trial, rolled back if any flow
+    cannot be rerouted. With observability enabled, each call adds its
+    moves tried and accepted and its reroute attempts to
+    [optim_moves_tried_total], [optim_moves_accepted_total] and
+    [optim_flows_rerouted_total]. *)
 
 val evaluate :
   ?margin:Eutil.Units.ratio Eutil.Units.q ->

@@ -17,7 +17,10 @@ let m_heap_pops =
   Obs.Metric.Counter.create ~help:"Heap pops across all Dijkstra runs"
     "routing_heap_pops_total"
 
-let run g ?(weight = default_weight) ?(active = fun _ -> true) ~src () =
+(* With [stop_after >= 0] the search ends at the first pop whose distance
+   exceeds [dist.(stop_after)] (see dijkstra.mli for why that is exact);
+   [stop_after = -1] settles every reachable node. *)
+let search g ~weight ~active ~src ~stop_after =
   let n = Topo.Graph.node_count g in
   let dist = Array.make n infinity in
   let prev_arc = Array.make n (-1) in
@@ -29,6 +32,7 @@ let run g ?(weight = default_weight) ?(active = fun _ -> true) ~src () =
   let rec loop () =
     match Eutil.Heap.pop heap with
     | None -> ()
+    | Some (d, _) when stop_after >= 0 && d > dist.(stop_after) -> incr pops
     | Some (d, u) ->
         incr pops;
         if not done_.(u) then begin
@@ -42,10 +46,13 @@ let run g ?(weight = default_weight) ?(active = fun _ -> true) ~src () =
                 if w < infinity && w >= 0.0 then begin
                   let nd = d +. w in
                   let v = arc.Topo.Graph.dst in
-                  (* Deterministic tie-break: keep the smaller arc id. *)
+                  (* Deterministic tie-break: keep the smaller arc id. A
+                     settled node keeps its arc, or a zero-weight tie could
+                     close a cycle of [prev_arc]s. *)
                   if
                     nd < dist.(v)
-                    || (nd = dist.(v) && prev_arc.(v) >= 0 && aid < prev_arc.(v))
+                    || (nd = dist.(v) && (not done_.(v)) && prev_arc.(v) >= 0
+                       && aid < prev_arc.(v))
                   then begin
                     dist.(v) <- nd;
                     prev_arc.(v) <- aid;
@@ -69,6 +76,9 @@ let run g ?(weight = default_weight) ?(active = fun _ -> true) ~src () =
   end;
   { dist; prev_arc }
 
+let run g ?(weight = default_weight) ?(active = fun _ -> true) ~src () =
+  search g ~weight ~active ~src ~stop_after:(-1)
+
 let path_to g res dst =
   if res.dist.(dst) = infinity then None
   else begin
@@ -79,9 +89,8 @@ let path_to g res dst =
     match collect [] dst with [] -> None | arcs -> Some (Topo.Path.of_arcs g arcs)
   end
 
-let shortest_path g ?weight ?active ~src ~dst () =
-  let res = run g ?weight ?active ~src () in
-  path_to g res dst
+let shortest_path g ?(weight = default_weight) ?(active = fun _ -> true) ~src ~dst () =
+  path_to g (search g ~weight ~active ~src ~stop_after:dst) dst
 
 let distance_matrix g ?weight ?active () =
   let n = Topo.Graph.node_count g in

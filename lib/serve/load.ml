@@ -453,12 +453,41 @@ let finished rs t =
     || t -. rs.start >= rs.cfg.duration_s +. drain_grace_s
     || stalled rs t
 
+(* The longest [step] blocks in select with nothing due. *)
+let max_wait_s = 0.01
+
+let select_timeout ~now deadlines =
+  Float.max 0.0 (List.fold_left (fun acc at -> Float.min acc (at -. now)) max_wait_s deadlines)
+
+(* The times at which a send becomes due without a reply arriving first:
+   the next paced fresh request when a connection is idle, and every
+   pending retry's backoff expiry, none earlier than the breaker lets
+   sends out. A half-open breaker with its probe on the wire waits for
+   that reply, which select sees anyway. *)
+let send_deadlines rs t =
+  match rs.breaker with
+  | Half_open when wire_outstanding rs > 0 -> []
+  | breaker ->
+      let gate = match breaker with Open until -> until | Closed | Half_open -> neg_infinity in
+      let idle c = (not c.outstanding) && c.pending = None in
+      let paced =
+        if rs.cfg.rate > 0.0 && (not (issuing_over rs t)) && Array.exists idle rs.conns then
+          [ rs.start +. (float_of_int rs.issued /. Float.max 1.0 rs.cfg.rate) ]
+        else []
+      in
+      Array.fold_left
+        (fun acc c ->
+          if (not c.outstanding) && c.pending <> None then c.retry_at :: acc else acc)
+        paced rs.conns
+      |> List.map (Float.max gate)
+
 let step rs =
   let t = now () in
   sweep_timeouts rs t;
   maybe_reload rs t;
   Array.iter (fun c -> maybe_send rs c t) rs.conns;
-  match Unix.select (select_fds rs) [] [] 0.01 with
+  let timeout = select_timeout ~now:(now ()) (send_deadlines rs t) in
+  match Unix.select (select_fds rs) [] [] timeout with
   | exception Unix.Unix_error (_e, _, _) -> ()
   | readable, _, _ ->
       List.iter

@@ -72,6 +72,12 @@ val run : config -> (report, string) result
     a stall cutoff bounds the drain even if the server blackholes every
     reply. *)
 
+val select_timeout : now:float -> float list -> float
+(** How long one step of the run may block waiting for replies: until the
+    earliest of the given deadlines (absolute times on the same clock as
+    [now], e.g. the next paced send or a retry's backoff expiry), at most
+    10 ms, and 0 for a deadline already past. *)
+
 val to_json : report -> string
 (** One deterministic JSON object (non-finite numbers render as null);
     accepted by {!Obs.Export.validate_json}. *)

@@ -388,6 +388,181 @@ let prop_greedy_consistent =
           in
           ok_paths && ok_caps)
 
+(* -------------------- Trial log vs. snapshot reference -------------------- *)
+
+let bits_of f read =
+  Array.init (G.arc_count (Optim.Feasible.graph f)) (fun a -> Int64.bits_of_float (read f a))
+
+let placements f =
+  List.map
+    (fun (o, d, v) -> (o, d, Int64.bits_of_float v, Option.get (Optim.Feasible.path_of f o d)))
+    (Optim.Feasible.flows f)
+
+let test_rollback_exact_bits () =
+  (* Mixed removes, re-places at other volumes and explicit placements on
+     a loaded GÉANT: rollback must restore every residual, load and
+     placement to its exact bits, whatever the float rounding in between.
+     Every fifth trial is kept instead, which moves the baseline. *)
+  let g = Topo.Geant.make () in
+  let tm = Traffic.Gravity.make g ~total:(Eutil.Units.bps 60e9) () in
+  let f = Optim.Feasible.create ~margin:0.9 g in
+  Alcotest.(check bool) "placed" true (Optim.Feasible.route_matrix f tm);
+  let rng = Eutil.Prng.create 5 in
+  let flows = Array.of_list (Optim.Feasible.flows f) in
+  for round = 1 to 20 do
+    let residual0 = bits_of f Optim.Feasible.residual and load0 = bits_of f Optim.Feasible.load in
+    let placed0 = placements f in
+    Optim.Feasible.begin_trial f;
+    for _ = 1 to 1 + Eutil.Prng.int rng 12 do
+      let o, d, v = flows.(Eutil.Prng.int rng (Array.length flows)) in
+      match Optim.Feasible.remove f o d with
+      | None -> ignore (Optim.Feasible.place f o d (v *. Eutil.Prng.range rng 0.3 3.0))
+      | Some (p, _) ->
+          if Eutil.Prng.int rng 2 = 0 then
+            ignore (Optim.Feasible.place_on f p (v *. Eutil.Prng.range rng 0.1 1.7))
+    done;
+    Alcotest.(check bool) "trial changed the placement" true (placements f <> placed0);
+    if round mod 5 = 0 then Optim.Feasible.end_trial f
+    else begin
+      Optim.Feasible.rollback f;
+      Alcotest.(check bool) "residual bits" true (bits_of f Optim.Feasible.residual = residual0);
+      Alcotest.(check bool) "load bits" true (bits_of f Optim.Feasible.load = load0);
+      Alcotest.(check bool) "placements" true (placements f = placed0)
+    end
+  done
+
+let test_trial_misuse () =
+  let f = Optim.Feasible.create (Topo.Example.line 2) in
+  let raises fn = try fn (); false with Invalid_argument _ -> true in
+  Alcotest.(check bool) "rollback without trial" true (raises (fun () -> Optim.Feasible.rollback f));
+  Optim.Feasible.begin_trial f;
+  Alcotest.(check bool) "nested trial" true (raises (fun () -> Optim.Feasible.begin_trial f));
+  Optim.Feasible.end_trial f
+
+(* The greedy as it was before trial logs: every move sorts all placed
+   flows, copies the whole placement state and restores the copy on
+   failure. Kept as the reference the trial-based [power_down] must match
+   bit for bit. *)
+let reference_try_move g f reroute links =
+  let st = Optim.Feasible.state f in
+  let relevant = List.filter (fun l -> State.link_on st l) links in
+  if relevant <> [] then begin
+    let affected =
+      List.filter
+        (fun (o, d, _) ->
+          match Optim.Feasible.path_of f o d with
+          | Some p -> List.exists (fun l -> Path.uses_link g p l) relevant
+          | None -> false)
+        (Optim.Feasible.flows f)
+      |> List.sort (fun (o1, d1, v1) (o2, d2, v2) ->
+             match Float.compare v2 v1 with
+             | 0 -> ( match Int.compare o1 o2 with 0 -> Int.compare d1 d2 | c -> c)
+             | c -> c)
+    in
+    let snap = Optim.Feasible.snapshot f in
+    List.iter (fun (o, d, _) -> ignore (Optim.Feasible.remove f o d)) affected;
+    List.iter (fun l -> State.set_link g st l false) relevant;
+    if not (List.for_all (fun (o, d, v) -> reroute f o d v <> None) affected) then begin
+      List.iter (fun l -> State.set_link g st l true) relevant;
+      Optim.Feasible.restore f snap
+    end
+  end
+
+let reference_power_down ~pinned ~reroute g power tm =
+  let f = Optim.Feasible.create g in
+  if not (Optim.Feasible.route_matrix f tm) then None
+  else begin
+    List.iter
+      (fun links -> if not (List.exists pinned links) then reference_try_move g f reroute links)
+      (Optim.Minimal.moves g power tm);
+    Some f
+  end
+
+(* A connected random graph whose latencies come from a two-value set, so
+   equal-cost paths (and the tie-breaks between them) are common. *)
+let random_graph rng =
+  let b = G.Builder.create () in
+  let n = 6 + Eutil.Prng.int rng 7 in
+  let nodes = Array.init n (fun i -> G.Builder.add_node b (Printf.sprintf "v%d" i)) in
+  let link i j =
+    let capacity = [| 1e9; 2.5e9; 10e9 |].(Eutil.Prng.int rng 3) in
+    let latency = if Eutil.Prng.int rng 2 = 0 then 1e-3 else 2e-3 in
+    try ignore (G.Builder.add_link b ~capacity ~latency nodes.(i) nodes.(j))
+    with Invalid_argument _ -> ()
+  in
+  for i = 1 to n - 1 do link i (Eutil.Prng.int rng i) done;
+  for _ = 1 to n do
+    let i = Eutil.Prng.int rng n and j = Eutil.Prng.int rng n in
+    if i <> j then link i j
+  done;
+  G.Builder.build b
+
+let random_instance topo seed =
+  let rng = Eutil.Prng.create seed in
+  let g, power =
+    match topo with
+    | 0 ->
+        let g = Topo.Geant.make () in
+        (g, Power.Model.cisco12000 g)
+    | 1 ->
+        let g = (Topo.Fattree.make 4).Topo.Fattree.graph in
+        (g, Power.Model.commodity_dc g)
+    | _ ->
+        let g = random_graph rng in
+        (g, Power.Model.cisco12000 g)
+  in
+  let nodes = G.traffic_nodes g in
+  let min_cap = G.fold_arcs g ~init:infinity ~f:(fun acc a -> Float.min acc a.G.capacity) in
+  let flows =
+    List.init
+      (4 + Eutil.Prng.int rng 30)
+      (fun _ ->
+        let o = nodes.(Eutil.Prng.int rng (Array.length nodes)) in
+        let d = nodes.(Eutil.Prng.int rng (Array.length nodes)) in
+        (o, d, min_cap *. Eutil.Prng.range rng 0.005 0.25))
+    |> List.filter (fun (o, d, _) -> o <> d)
+  in
+  let tm = Matrix.create (G.node_count g) in
+  List.iter (fun (o, d, v) -> Matrix.add_to tm o d v) flows;
+  let pinned_links = Array.init (G.link_count g) (fun _ -> Eutil.Prng.int rng 5 = 0) in
+  (g, power, tm, pinned_links)
+
+let prop_trial_greedy_matches_snapshot_reference =
+  QCheck.Test.make ~name:"trial-log greedy equals snapshot/restore reference" ~count:40
+    QCheck.(quad (int_range 0 2) (int_range 0 10_000) bool bool)
+    (fun (topo, seed, use_pins, use_ksp) ->
+      let g, power, tm, pinned_links = random_instance topo seed in
+      let pinned l = use_pins && pinned_links.(l) in
+      let reroute =
+        if use_ksp then
+          Optim.Minimal.ksp_reroute
+            (Optim.Greente.candidate_table g ~pairs:(Matrix.pairs tm) ())
+        else Optim.Minimal.dijkstra_reroute
+      in
+      match
+        (Optim.Minimal.power_down ~pinned ~reroute g power tm,
+         reference_power_down ~pinned ~reroute g power tm)
+      with
+      | None, None -> true
+      | Some r, Some f ->
+          let st = Optim.Feasible.state f in
+          let routes_match =
+            Hashtbl.length r.Optim.Minimal.routing = List.length (Optim.Feasible.flows f)
+            && List.for_all
+                 (fun (o, d, _) ->
+                   match (Hashtbl.find_opt r.Optim.Minimal.routing (o, d), Optim.Feasible.path_of f o d) with
+                   | Some p, Some q -> Path.equal p q
+                   | _ -> false)
+                 (Optim.Feasible.flows f)
+          in
+          State.key r.Optim.Minimal.state = State.key st
+          && routes_match
+          && Array.map Int64.bits_of_float r.Optim.Minimal.arc_load
+             = bits_of f Optim.Feasible.load
+          && Int64.bits_of_float r.Optim.Minimal.power_watts
+             = Int64.bits_of_float (Eutil.Units.to_float (Power.Model.total power g st))
+      | _ -> false)
+
 let () =
   Alcotest.run "optim"
     [
@@ -398,6 +573,8 @@ let () =
           Alcotest.test_case "margin" `Quick test_margin;
           Alcotest.test_case "remove restores" `Quick test_remove_restores;
           Alcotest.test_case "snapshot/restore" `Quick test_snapshot_restore;
+          Alcotest.test_case "rollback restores exact bits" `Quick test_rollback_exact_bits;
+          Alcotest.test_case "trial misuse" `Quick test_trial_misuse;
           Alcotest.test_case "route matrix" `Quick test_route_matrix;
           Alcotest.test_case "route matrix infeasible" `Quick test_route_matrix_infeasible;
         ] );
@@ -411,6 +588,7 @@ let () =
           Alcotest.test_case "pinned links" `Quick test_pinned_links_stay_on;
           Alcotest.test_case "routers off in fat-tree" `Quick test_greedy_powers_off_routers;
           QCheck_alcotest.to_alcotest prop_greedy_consistent;
+          QCheck_alcotest.to_alcotest prop_trial_greedy_matches_snapshot_reference;
         ] );
       ( "greente",
         [

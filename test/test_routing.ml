@@ -82,6 +82,45 @@ let prop_dijkstra_vs_bellman_ford =
         (fun d1 d2 -> d1 = d2 || abs_float (d1 -. d2) < 1e-9)
         res.Routing.Dijkstra.dist dist)
 
+(* The target-bounded [shortest_path] extracts the same path as a full
+   [run] on random graphs whose weights are drawn from {0, 1, 2}: zero
+   weights and exact ties are common, so the tie-break at the target's
+   distance is exercised. Some arcs are inactive, so some pairs are
+   unreachable. *)
+let prop_bounded_matches_full_run =
+  QCheck.Test.make ~name:"shortest_path matches path_to of a full run" ~count:100
+    QCheck.(pair (int_range 2 14) (int_range 0 10_000))
+    (fun (n, seed) ->
+      let rng = Eutil.Prng.create seed in
+      let b = G.Builder.create () in
+      let nodes = Array.init n (fun i -> G.Builder.add_node b (Printf.sprintf "v%d" i)) in
+      for _ = 1 to 2 * n do
+        let i = Eutil.Prng.int rng n and j = Eutil.Prng.int rng n in
+        if i <> j then
+          try ignore (G.Builder.add_link b ~capacity:1e9 ~latency:1e-3 nodes.(i) nodes.(j))
+          with Invalid_argument _ -> ()
+      done;
+      let g = G.Builder.build b in
+      let w = Array.init (G.arc_count g) (fun _ -> float_of_int (Eutil.Prng.int rng 3)) in
+      let on = Array.init (G.arc_count g) (fun _ -> Eutil.Prng.int rng 6 > 0) in
+      let weight a = w.(a.G.id) and active a = on.(a.G.id) in
+      List.for_all
+        (fun src ->
+          let full = Routing.Dijkstra.run g ~weight ~active ~src () in
+          List.for_all
+            (fun dst ->
+              dst = src
+              ||
+              match
+                ( Routing.Dijkstra.shortest_path g ~weight ~active ~src ~dst (),
+                  Routing.Dijkstra.path_to g full dst )
+              with
+              | None, None -> true
+              | Some p, Some q -> Path.equal p q
+              | _ -> false)
+            (List.init n Fun.id))
+        (List.init n Fun.id))
+
 let test_invcap_weights () =
   let g = Topo.Geant.make () in
   let w = Routing.Spf.invcap g in
@@ -234,6 +273,7 @@ let () =
           Alcotest.test_case "activity filter" `Quick test_dijkstra_respects_active;
           Alcotest.test_case "unreachable" `Quick test_dijkstra_unreachable;
           QCheck_alcotest.to_alcotest prop_dijkstra_vs_bellman_ford;
+          QCheck_alcotest.to_alcotest prop_bounded_matches_full_run;
         ] );
       ( "spf",
         [

@@ -974,6 +974,19 @@ let test_breaker_via_blackhole () =
               | Ok (W.Path_reply _) -> ()
               | Ok _ | Error _ -> Alcotest.fail "proxy path did not recover after the fault"))
 
+(* ------------------------------ load pacing ------------------------------ *)
+
+(* A paced run must wake for its next send, not sleep out the whole select
+   cap and then catch up with a burst. *)
+let test_load_select_timeout () =
+  let t = Serve.Load.select_timeout in
+  let close = Alcotest.(check (float 1e-12)) in
+  close "nothing due: the cap" 0.01 (t ~now:100.0 []);
+  close "next paced send" 0.0005 (t ~now:100.0 [ 100.0005 ]);
+  close "earliest deadline wins" 0.002 (t ~now:100.0 [ 100.007; 100.002; 100.004 ]);
+  close "far deadline: the cap" 0.01 (t ~now:100.0 [ 101.0 ]);
+  close "overdue: no wait" 0.0 (t ~now:100.0 [ 99.0; 100.5 ])
+
 (* ------------------------------- suite ------------------------------- *)
 
 let () =
@@ -1026,4 +1039,5 @@ let () =
           Alcotest.test_case "reaper" `Quick test_server_reaper;
           Alcotest.test_case "breaker via blackhole" `Quick test_breaker_via_blackhole;
         ] );
+      ( "load", [ Alcotest.test_case "select timeout" `Quick test_load_select_timeout ] );
     ]
